@@ -1,5 +1,6 @@
-//! Shared plumbing for the experiment driver, the remaining standalone
-//! binaries and the Criterion benchmarks.
+//! Shared plumbing for the experiment driver and the remaining
+//! standalone binaries. Benchmarking lives in the top-level
+//! `benchmark/` package.
 //!
 //! Figure/table regeneration goes through the unified [`driver`] (the
 //! `experiments` binary); `--full` selects paper-fidelity runs (full

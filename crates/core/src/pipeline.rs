@@ -678,11 +678,13 @@ fn streaming_summary(snap: &summit_obs::Snapshot, stalls: u64, wall_s: f64) -> S
 /// after the receive. The producer thread inherits the caller's
 /// observability registry; under a wall-clock trace it also joins the
 /// trace as a worker (virtual-clock traces decline workers so traces
-/// stay byte-stable).
+/// stay byte-stable). A panic on the producer thread is re-raised on the
+/// caller once the consumer has drained what was sent, so a dead
+/// producer fails the run instead of silently shortening it.
 pub fn stream_batches<T, R, P, C>(capacity: usize, produce: P, mut consume: C) -> R
 where
     T: Send,
-    R: Send + Default,
+    R: Send,
     P: FnOnce(&dyn Fn(T) -> bool) -> R + Send,
     C: FnMut(T, usize),
 {
@@ -709,7 +711,9 @@ where
             let depth = rx.len();
             consume(batch, depth);
         }
-        producer.join().unwrap_or_default()
+        producer
+            .join()
+            .unwrap_or_else(|payload| std::panic::resume_unwind(payload))
     })
 }
 
@@ -1190,6 +1194,25 @@ mod tests {
                 "{counter}"
             );
         }
+    }
+
+    #[test]
+    fn a_panicking_producer_fails_the_stream() {
+        let mut seen = 0;
+        let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            stream_batches(
+                4,
+                |send: &dyn Fn(u32) -> bool| -> u64 {
+                    send(1);
+                    send(2);
+                    panic!("producer died")
+                },
+                |_, _| seen += 1,
+            )
+        }));
+        let payload = outcome.expect_err("a dead producer must fail the call");
+        assert_eq!(payload.downcast_ref::<&str>(), Some(&"producer died"));
+        assert_eq!(seen, 2, "the consumer drains what was sent first");
     }
 
     #[test]

@@ -4,7 +4,7 @@
 //! rebuilt as a library: per-node metric catalog (106 metrics, mirroring
 //! the paper's "over 100 metrics at 1 Hz"), 1 Hz frame records with the
 //! 2.5 s-average propagation-delay model, a thread-free deterministic
-//! fan-in collector, lossless delta/varint/RLE compression of the archived
+//! fan-in, lossless delta/varint/RLE compression of the archived
 //! stream, the 10-second `count/min/max/mean/std` window coarsening, and
 //! the cluster-level and job-aware aggregations that produce the paper's
 //! derived Datasets 0-7.
@@ -12,7 +12,7 @@
 //! Data flows exactly as in the paper's Figure 3:
 //!
 //! ```text
-//! node models (summit-sim) --1 Hz frames--> [stream::Collector]
+//! node models (summit-sim) --1 Hz frames--> [stream::fan_in_batches]
 //!     --> [store::TelemetryStore] (lossless archive, codec)
 //!     --> [window::WindowAggregator] (10 s coarsening)
 //!     --> [cluster] / [jobjoin] collapses --> analysis datasets
@@ -52,9 +52,7 @@ pub mod prelude {
         CepRecord, JobRecord, NodeAllocation, NodeFrame, ScienceDomain, XidErrorKind, XidEvent,
     };
     pub use crate::store::TelemetryStore;
-    pub use crate::stream::{
-        Collector, FaultConfig, FaultInjector, FrameFate, FrameSender, IngestStats, InjectedFaults,
-    };
+    pub use crate::stream::{FaultConfig, FaultInjector, FrameFate, IngestStats, InjectedFaults};
     pub use crate::window::{
         CoarsenLayout, NodeWindow, StreamingCoarsener, WindowAggregator, PAPER_WINDOW_S,
     };

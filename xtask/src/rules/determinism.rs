@@ -8,7 +8,7 @@
 //! - `thread_rng` / `from_entropy` / `OsRng` / `rand::random` — RNGs
 //!   without an explicit caller-supplied seed;
 //! - `SystemTime::now` / `Instant::now` — wall-clock reads (timing
-//!   *outputs* belong in the bench crate, not in sim/analysis).
+//!   *outputs* belong in the `benchmark/` harness, not in sim/analysis).
 //!
 //! Scope: non-test code in `crates/sim/src` and `crates/analysis/src`.
 
@@ -43,7 +43,7 @@ const BANNED: &[(&str, &str)] = &[
     ("SystemTime::now", "wall-clock read; pass times in as data"),
     (
         "Instant::now",
-        "wall-clock read; timing belongs in crates/bench",
+        "wall-clock read; timing belongs in the benchmark/ harness",
     ),
 ];
 
