@@ -103,9 +103,9 @@ mod tests {
         let snap = &report.snapshot;
         for counter in [
             "summit_core_run_telemetry_calls_total",
-            "summit_core_frame_generation_calls_total",
-            "summit_core_fault_injection_calls_total",
-            "summit_telemetry_coarsen_calls_total",
+            "summit_core_engine_tick_calls_total",
+            "summit_core_stream_consume_calls_total",
+            "summit_core_stream_finish_calls_total",
             "summit_telemetry_export_calls_total",
             "summit_analysis_fft_calls_total",
             "summit_analysis_kde_fit_calls_total",

@@ -11,7 +11,7 @@
 use crate::cache::ScenarioCache;
 use crate::experiments::registry::{clamp_scale, Cfg, Experiment, ExperimentError};
 use crate::json::Json;
-use crate::pipeline::stream_batches;
+use crate::pipeline::Driver;
 use crate::report::{eng, Table};
 use serde::{Deserialize, Serialize};
 use summit_sim::engine::{Engine, EngineConfig, StepOptions};
@@ -89,8 +89,8 @@ pub struct Table2Result {
 }
 
 /// Steps the engine through one minute of simulated time and shards the
-/// emitted frames by node. Shared by the batch loop and the streaming
-/// producer thread so both modes generate identical frames.
+/// emitted frames by node: the producer under either driver, so both
+/// modes generate identical frames.
 fn generate_minute(engine: &mut Engine, nodes: usize) -> Vec<Vec<NodeFrame>> {
     let mut frames_by_node: Vec<Vec<NodeFrame>> = vec![Vec::with_capacity(60); nodes];
     {
@@ -113,8 +113,8 @@ fn generate_minute(engine: &mut Engine, nodes: usize) -> Vec<Vec<NodeFrame>> {
 
 /// Fans one minute of frames through the collector, archives and
 /// coarsens it, and folds its accounting into `all_stats`; returns the
-/// windows closed. Both execution modes call this exact function, so
-/// streaming output is bit-identical to batch by construction.
+/// windows closed: the consumer under either driver, so streaming
+/// output is bit-identical to batch by construction.
 fn process_minute(
     frames_by_node: Vec<Vec<NodeFrame>>,
     producers: usize,
@@ -182,39 +182,30 @@ pub fn run(config: &Config) -> Result<Table2Result, ExperimentError> {
 
         // Stream minute-by-minute: generate frames, fan them in, archive and
         // coarsen, then drop — bounding memory like the real pipeline.
+        // Online mode generates minutes on a producer thread behind a
+        // bounded channel, so blocking backpressure keeps at most two
+        // minutes of frames in flight; otherwise both sides run here.
         let minutes = config.duration_s / 60;
-        if config.stream {
-            // Online mode: a producer thread generates minutes and ships
-            // them over a bounded channel while the consumer runs the
-            // same per-minute processing inline — blocking backpressure
-            // keeps at most two minutes of frames in flight.
-            let producers = config.producers;
-            stream_batches(
-                2,
-                move |send: &dyn Fn(Vec<Vec<NodeFrame>>) -> bool| {
-                    for _ in 0..minutes {
-                        if !send(generate_minute(&mut engine, nodes)) {
-                            break;
-                        }
-                    }
-                },
-                |frames_by_node, _depth| {
-                    total_windows +=
-                        process_minute(frames_by_node, producers, nodes, &store, &mut all_stats);
-                },
-            );
+        let producers = config.producers;
+        let driver = if config.stream {
+            Driver::Threaded
         } else {
-            for _ in 0..minutes {
-                let frames_by_node = generate_minute(&mut engine, nodes);
-                total_windows += process_minute(
-                    frames_by_node,
-                    config.producers,
-                    nodes,
-                    &store,
-                    &mut all_stats,
-                );
-            }
-        }
+            Driver::Inline
+        };
+        driver.run(
+            2,
+            move |send: &dyn Fn(Vec<Vec<NodeFrame>>) -> bool| {
+                for _ in 0..minutes {
+                    if !send(generate_minute(&mut engine, nodes)) {
+                        break;
+                    }
+                }
+            },
+            |frames_by_node, _depth| {
+                total_windows +=
+                    process_minute(frames_by_node, producers, nodes, &store, &mut all_stats);
+            },
+        );
         all_stats.publish_obs();
 
         let comp = store.compression_stats();

@@ -7,8 +7,8 @@
 //!    closed-form job statistics (Figures 5-10, 14; Table 4).
 //! 2. **Dynamics path** — full time-domain engine runs at 1 Hz/10 s for
 //!    edge, snapshot and thermal-response studies (Figures 4, 11, 12, 17).
-//! 3. **Telemetry path** — frame generation, fan-in, compression and
-//!    coarsening measurements (Table 2).
+//! 3. **Telemetry path** — one staged ODA pipeline under two drivers:
+//!    [`run_telemetry`] inline, [`run_streaming`] threaded.
 
 use crate::monitoring::{Alert, OpsConsole};
 use rand::rngs::StdRng;
@@ -23,11 +23,10 @@ use summit_sim::power::PowerModel;
 use summit_sim::spec;
 use summit_telemetry::batch::FrameBatch;
 use summit_telemetry::delivery::NodeDelivery;
+use summit_telemetry::ingest::IngestPolicy;
 use summit_telemetry::records::{NodeFrame, XidEvent};
-use summit_telemetry::stream::{FaultConfig, FaultInjector, IngestStats, InjectedFaults};
-use summit_telemetry::window::{
-    coarsen_parallel_with_health, NodeWindow, StreamingCoarsener, PAPER_WINDOW_S,
-};
+use summit_telemetry::stream::{FaultConfig, IngestStats, InjectedFaults};
+use summit_telemetry::window::{NodeWindow, StreamingCoarsener, PAPER_WINDOW_S};
 
 /// The scaled statistical-year scenario.
 #[derive(Debug, Clone, Copy, Serialize, Deserialize)]
@@ -324,7 +323,8 @@ pub fn quick_dynamics(cabinets: usize, duration_s: f64) -> DynamicsRun {
 
 /// A completed telemetry-path run: frames generated by the engine,
 /// delivered through the (optionally faulty) simulated fabric in
-/// arrival order, and coarsened fault-tolerantly.
+/// arrival order, and coarsened fault-tolerantly — the data outputs of
+/// a [`StreamingRun`].
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct TelemetryRun {
     /// Coarsened 10 s windows per node.
@@ -340,53 +340,33 @@ pub struct TelemetryRun {
     pub summary: String,
 }
 
-/// Builds the end-of-run summary line from registry counters. All
-/// values except wall time are deterministic for a fixed seed.
-fn telemetry_summary(snap: &summit_obs::Snapshot, wall_s: f64) -> String {
+/// Builds the end-of-run summary line of pipeline entry point `entry`
+/// from registry counters. All values except wall time are
+/// deterministic for a fixed seed under the inline driver.
+fn run_summary(entry: &str, snap: &summit_obs::Snapshot, wall_s: f64) -> String {
     let c = |name: &str| snap.counter(name).unwrap_or(0);
     format!(
-        "[obs] run_telemetry: jobs={} frames offered={} admitted={} dropped={} windows={} wall={:.3}s",
+        "[obs] {entry}: jobs={} frames offered={} admitted={} dropped={} windows={} stalls={} wall={:.3}s",
         c("summit_core_jobs_generated_total"),
         c("summit_core_frames_offered_total"),
         c("summit_telemetry_frames_accepted_total"),
         c("summit_telemetry_frames_dropped_total"),
         c("summit_telemetry_windows_total"),
+        c(STALLS_COUNTER),
         wall_s,
     )
 }
 
-/// Frame→window→alert latencies (seconds) of a delivered frame stream.
-///
-/// An alert can fire no earlier than the moment its 10 s window closes,
-/// and the coarsener closes a window once the per-node watermark (max
-/// `t_sample` seen) has advanced `horizon_s` past the window's end. This
-/// replays each node's batch in delivery order and, for every window,
-/// records `t_close - window_start`, where `t_close` is the ingest time
-/// of the frame whose arrival closed the window (windows still open at
-/// end of stream close at the node's last ingest time). Deterministic
-/// for a fixed seed: only simulated timestamps enter the computation.
-fn frame_to_alert_latencies(
-    delivered: &[Vec<NodeFrame>],
-    window_s: f64,
-    horizon_s: f64,
-) -> Vec<f64> {
-    let mut out = Vec::new();
-    for batch in delivered {
-        let mut tracker = AlertLatencyTracker::new(window_s, horizon_s);
-        for f in batch {
-            tracker.observe(f);
-        }
-        out.extend(tracker.finish());
-    }
-    out
-}
-
-/// Incremental per-node frame→alert latency accounting: the exact loop
-/// body of [`frame_to_alert_latencies`], fed one delivered frame at a
-/// time so the streaming pipeline records the same latency multiset the
-/// batch replay would, live.
+/// Per-node frame→window→alert latency accounting, mirroring the
+/// pipeline's coarsener ([`PAPER_WINDOW_S`] windows, default
+/// [`IngestPolicy`] horizon). An alert can fire no earlier than its
+/// window closes, which happens once the node's watermark (max
+/// `t_sample` seen) passes the window's end plus the horizon. Fed the
+/// node's delivered frames in order, the tracker records
+/// `t_close - window_start` per window, `t_close` being the ingest time
+/// of the frame that closed it; [`Self::finish`] closes what is still
+/// open at the node's last ingest time. Only simulated timestamps enter.
 struct AlertLatencyTracker {
-    window_s: f64,
     horizon_s: f64,
     open: std::collections::BTreeSet<i64>,
     wm: f64,
@@ -394,62 +374,125 @@ struct AlertLatencyTracker {
     closed: Vec<f64>,
 }
 
-impl AlertLatencyTracker {
-    fn new(window_s: f64, horizon_s: f64) -> Self {
+impl Default for AlertLatencyTracker {
+    fn default() -> Self {
         Self {
-            window_s,
-            horizon_s,
+            horizon_s: IngestPolicy::default().lateness_horizon_s,
             open: std::collections::BTreeSet::new(),
             wm: f64::NEG_INFINITY,
             last_ingest: f64::NEG_INFINITY,
             closed: Vec::new(),
         }
     }
+}
 
-    /// Latencies closed so far (delivery order within the node).
-    fn closed(&self) -> &[f64] {
-        &self.closed
-    }
-
+impl AlertLatencyTracker {
+    /// Folds in one delivered frame, closing every window its
+    /// watermark advance pushes past the horizon.
     fn observe(&mut self, f: &NodeFrame) {
         self.wm = self.wm.max(f.t_sample);
         self.last_ingest = self.last_ingest.max(f.t_ingest);
         let cutoff = self.wm - self.horizon_s;
         while let Some(&k) = self.open.first() {
-            let start = k as f64 * self.window_s;
-            if start + self.window_s <= cutoff {
+            let start = k as f64 * PAPER_WINDOW_S;
+            if start + PAPER_WINDOW_S <= cutoff {
                 self.open.remove(&k);
                 self.closed.push((f.t_ingest - start).max(0.0));
             } else {
                 break;
             }
         }
-        let key = (f.t_sample / self.window_s).floor() as i64;
+        let key = (f.t_sample / PAPER_WINDOW_S).floor() as i64;
         // A frame past the horizon would be dropped as late by the
         // ingester; don't let it re-open a closed window.
-        if key as f64 * self.window_s + self.window_s > cutoff {
+        if key as f64 * PAPER_WINDOW_S + PAPER_WINDOW_S > cutoff {
             self.open.insert(key);
         }
     }
 
     /// Closes every still-open window at the node's last ingest time.
-    fn finish(mut self) -> Vec<f64> {
+    fn finish(&mut self) {
         if self.last_ingest.is_finite() {
-            let open = std::mem::take(&mut self.open);
-            for k in open {
-                let start = k as f64 * self.window_s;
+            for k in std::mem::take(&mut self.open) {
+                let start = k as f64 * PAPER_WINDOW_S;
                 self.closed.push((self.last_ingest - start).max(0.0));
             }
         }
-        self.closed
     }
 }
+
+/// One node's stages downstream of the fabric: frame→alert latency and
+/// ingest statistics, accumulated per node so the merge in node-index
+/// order fixes the float association.
+#[derive(Default)]
+struct NodeIngest {
+    latency: AlertLatencyTracker,
+    stats: IngestStats,
+}
+
+impl NodeIngest {
+    /// Runs the frames the fabric delivered for node `idx` through the
+    /// latency tracker, the ingest statistics and the coarsener, leaving
+    /// `delivered` empty.
+    fn ingest(
+        &mut self,
+        idx: usize,
+        delivered: &mut Vec<NodeFrame>,
+        coarsener: &mut StreamingCoarsener,
+    ) {
+        for df in delivered.drain(..) {
+            self.latency.observe(&df);
+            self.stats.observe(&df);
+            if coarsener.push(idx, &df).is_err() {
+                summit_obs::counter(REJECTED_COUNTER).inc();
+            }
+        }
+    }
+}
+
+/// The live view of a run: the console, the windows it has seen and
+/// the per-node output they are routed into.
+struct LiveOutput {
+    console: OpsConsole,
+    windows_by_node: Vec<Vec<NodeWindow>>,
+    live_windows: u64,
+}
+
+impl LiveOutput {
+    /// Shows closed windows to the console and appends them to their
+    /// nodes' output.
+    fn publish(&mut self, closed: Vec<NodeWindow>) {
+        if closed.is_empty() {
+            return;
+        }
+        self.live_windows += closed.len() as u64;
+        self.console.observe_windows(&closed);
+        for w in closed {
+            let idx = w.node.index();
+            if self.windows_by_node.len() <= idx {
+                self.windows_by_node.resize_with(idx + 1, Vec::new);
+            }
+            self.windows_by_node[idx].push(w);
+        }
+    }
+}
+
+/// Tick batches the threaded driver's channel holds at most.
+const CHANNEL_CAPACITY: usize = 8;
+/// Engine ticks per batch handed from the producer to the consumer.
+const TICKS_PER_BATCH: usize = 16;
+/// Counter of frames the coarsener refused, one per counted drop.
+const REJECTED_COUNTER: &str = "summit_core_stream_frames_rejected_total";
+/// Counter of producer stalls on a full channel.
+const STALLS_COUNTER: &str = "summit_core_stream_backpressure_stalls_total";
 
 /// Runs the telemetry path end to end on a scaled floor: engine frames
 /// at 1 Hz, per-node delivery through the propagation-delay model (plus
 /// the given fault profile, if any), then fault-tolerant 10 s
 /// coarsening. Even a clean run delivers frames in arrival order, so
-/// the coarsener's reorder buffer is always exercised.
+/// the coarsener's reorder buffer is always exercised. This is the
+/// inline driver of the pipeline [`run_streaming`] drives threaded:
+/// every stage runs on the caller's thread.
 ///
 /// The run installs a private [`summit_obs`] registry so its metrics
 /// are isolated per run; the resulting [`TelemetryRun::obs`] snapshot
@@ -461,137 +504,21 @@ pub fn run_telemetry(
     duration_s: f64,
     faults: Option<FaultConfig>,
 ) -> TelemetryRun {
-    let parent = summit_obs::current();
-    let registry = summit_obs::registry::Registry::new();
-    let (windows_by_node, stats, injected, wall_s) = {
-        let _scope = registry.install();
-        let run_span = summit_obs::span("summit_core_run_telemetry");
-
-        let config = EngineConfig::small(cabinets);
-        let dt = config.dt_s;
-        let mut engine = Engine::new(config, 0.0);
-        let node_count = engine.topology().node_count();
-        let n_ticks = (duration_s / dt).ceil() as usize;
-        let mut frames_by_node: Vec<Vec<NodeFrame>> = vec![Vec::with_capacity(n_ticks); node_count];
-        {
-            let _obs = summit_obs::span("summit_core_frame_generation");
-            let opts = StepOptions {
-                frames: true,
-                ..StepOptions::default()
-            };
-            // One columnar tick batch, reset (never reallocated) every
-            // tick: the engine writes metric columns in place and the
-            // router reads back the exact row frames the old path
-            // built — the steady-state tick loop touches no allocator.
-            let mut tick_batch = FrameBatch::with_capacity(node_count);
-            for _ in 0..n_ticks {
-                {
-                    let _tick_obs = summit_obs::span("summit_core_engine_tick");
-                    let _ = engine.step_batch(&opts, &mut tick_batch);
-                }
-                for row in 0..tick_batch.len() {
-                    let f = tick_batch.read_frame(row);
-                    if let Some(batch) = frames_by_node.get_mut(f.node.index()) {
-                        batch.push(f);
-                    }
-                }
-            }
-        }
-        summit_obs::counter("summit_core_engine_ticks_total").inc_by(n_ticks as u64);
-        let sched = engine.scheduler_ref();
-        let jobs = sched.running().len() + sched.completed().len();
-        summit_obs::counter("summit_core_jobs_generated_total").inc_by(jobs as u64);
-        let offered: usize = frames_by_node.iter().map(Vec::len).sum();
-        summit_obs::counter("summit_core_frames_offered_total").inc_by(offered as u64);
-
-        let mut injector = FaultInjector::new(faults.unwrap_or_default());
-        let delivered: Vec<Vec<NodeFrame>> = {
-            let _obs = summit_obs::span("summit_core_fault_injection");
-            frames_by_node
-                .into_iter()
-                .map(|batch| injector.deliver(batch))
-                .collect()
-        };
-        // Canonical stats association: accumulate per node, merge in
-        // node-index order. The streaming pipeline uses the same
-        // grouping, so the float delay sums agree to the bit.
-        let mut stats = IngestStats::default();
-        for batch in &delivered {
-            let mut node_stats = IngestStats::default();
-            for f in batch {
-                node_stats.observe(f);
-            }
-            stats.merge(&node_stats);
-        }
-        let (windows_by_node, health) = coarsen_parallel_with_health(&delivered, PAPER_WINDOW_S);
-        stats.health = health;
-        stats.publish_obs();
-
-        {
-            // ROADMAP item 2: SLO-style frame→alert latency, recorded as
-            // both a histogram and (when a trace is live) counter tracks.
-            let _obs = summit_obs::span("summit_core_alert_latency");
-            let horizon_s = summit_telemetry::ingest::IngestPolicy::default().lateness_horizon_s;
-            let mut latencies = frame_to_alert_latencies(&delivered, PAPER_WINDOW_S, horizon_s);
-            let histogram = summit_obs::histogram("summit_core_frame_to_alert_latency_seconds");
-            for &v in &latencies {
-                histogram.observe(v);
-            }
-            latencies.sort_by(f64::total_cmp);
-            let pct = |q: f64| {
-                if latencies.is_empty() {
-                    f64::NAN
-                } else {
-                    let idx = ((latencies.len() - 1) as f64 * q).round() as usize;
-                    latencies.get(idx).copied().unwrap_or(f64::NAN)
-                }
-            };
-            let (p50, p99) = (pct(0.50), pct(0.99));
-            summit_obs::gauge("summit_core_frame_to_alert_p50_seconds").set(p50);
-            summit_obs::gauge("summit_core_frame_to_alert_p99_seconds").set(p99);
-            if let Some(tc) = summit_obs::trace::current() {
-                // Simulated-time values: deterministic under any clock.
-                tc.counter("summit_core_frame_to_alert_p50_seconds", p50);
-                tc.counter("summit_core_frame_to_alert_p99_seconds", p99);
-                tc.counter(
-                    "summit_telemetry_ingest_mean_delay_seconds",
-                    stats.mean_delay_s(),
-                );
-            }
-        }
-
-        let wall_s = run_span.elapsed_s();
-        let windows: usize = windows_by_node.iter().map(Vec::len).sum();
-        if wall_s > 0.0 {
-            summit_obs::gauge("summit_core_frames_per_wall_second").set(offered as f64 / wall_s);
-            summit_obs::gauge("summit_core_windows_per_wall_second").set(windows as f64 / wall_s);
-            if let Some(tc) = summit_obs::trace::current() {
-                // Wall-derived rate: only meaningful (and only allowed —
-                // byte-identity would break) under the wall clock.
-                if tc.clock() == summit_obs::trace::TraceClock::Wall {
-                    tc.counter(
-                        "summit_core_frames_per_wall_second",
-                        offered as f64 / wall_s,
-                    );
-                }
-            }
-        }
-        (windows_by_node, stats, injector.injected(), wall_s)
-    };
-    let obs = registry.snapshot();
-    parent.absorb(&obs);
-    let summary = telemetry_summary(&obs, wall_s);
-    println!("{summary}");
+    let run = run_pipeline(
+        StreamConfig::new(cabinets, duration_s, faults),
+        Driver::Inline,
+        || summit_obs::span("summit_core_run_telemetry"),
+    );
     TelemetryRun {
-        windows_by_node,
-        stats,
-        injected,
-        obs,
-        summary,
+        windows_by_node: run.windows_by_node,
+        stats: run.stats,
+        injected: run.injected,
+        obs: run.obs,
+        summary: run.summary,
     }
 }
 
-/// Configuration of the streaming telemetry pipeline.
+/// Configuration of one telemetry pipeline run.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct StreamConfig {
     /// Scaled floor size (18 nodes per cabinet).
@@ -602,24 +529,16 @@ pub struct StreamConfig {
     pub faults: Option<FaultConfig>,
     /// Scheduled whole-cabinet outage bursts (simulated seconds).
     pub cabinet_outages: Vec<CabinetOutage>,
-    /// Bounded channel capacity (tick batches) between the producer and
-    /// the consumer; the producer blocks when the consumer lags.
-    pub channel_capacity: usize,
-    /// Engine ticks per channel batch.
-    pub ticks_per_batch: usize,
 }
 
 impl StreamConfig {
-    /// Streaming run with the default channel shape (8 batches of 16
-    /// ticks in flight at most).
+    /// A run with no cabinet outages.
     pub fn new(cabinets: usize, duration_s: f64, faults: Option<FaultConfig>) -> Self {
         Self {
             cabinets,
             duration_s,
             faults,
             cabinet_outages: Vec::new(),
-            channel_capacity: 8,
-            ticks_per_batch: 16,
         }
     }
 }
@@ -655,18 +574,39 @@ pub struct StreamingRun {
     pub summary: String,
 }
 
-/// Builds the end-of-run summary line for a streaming run.
-fn streaming_summary(snap: &summit_obs::Snapshot, stalls: u64, wall_s: f64) -> String {
-    let c = |name: &str| snap.counter(name).unwrap_or(0);
-    format!(
-        "[obs] run_streaming: jobs={} frames offered={} admitted={} dropped={} windows={} stalls={stalls} wall={:.3}s",
-        c("summit_core_jobs_generated_total"),
-        c("summit_core_frames_offered_total"),
-        c("summit_telemetry_frames_accepted_total"),
-        c("summit_telemetry_frames_dropped_total"),
-        c("summit_telemetry_windows_total"),
-        wall_s,
-    )
+/// How a staged pipeline's producer hands its batches to the consumer.
+/// Both drivers run the same two closures, so a pipeline's outputs
+/// cannot depend on which one drove it.
+#[derive(Debug, Clone, Copy)]
+pub(crate) enum Driver {
+    /// Both on the caller's thread: `send` runs the consumer on the batch.
+    Inline,
+    /// [`stream_batches`]: the producer on its own thread.
+    Threaded,
+}
+
+impl Driver {
+    /// Runs `produce`, handing every batch it sends to `consume` with
+    /// the channel depth after the hand-over (0 inline). `capacity`
+    /// bounds the threaded driver's channel.
+    pub(crate) fn run<T, R, P, C>(self, capacity: usize, produce: P, consume: C) -> R
+    where
+        T: Send,
+        R: Send,
+        P: FnOnce(&dyn Fn(T) -> bool) -> R + Send,
+        C: FnMut(T, usize),
+    {
+        match self {
+            Driver::Threaded => stream_batches(capacity, produce, consume),
+            Driver::Inline => {
+                let consume = std::cell::RefCell::new(consume);
+                produce(&|batch| {
+                    (consume.borrow_mut())(batch, 0);
+                    true
+                })
+            }
+        }
+    }
 }
 
 /// Runs `produce` on a dedicated producer thread shipping batches over
@@ -699,7 +639,7 @@ where
                 match tx.try_send(batch) {
                     Ok(()) => true,
                     Err(crossbeam::channel::TrySendError::Full(batch)) => {
-                        summit_obs::counter("summit_core_stream_backpressure_stalls_total").inc();
+                        summit_obs::counter(STALLS_COUNTER).inc();
                         tx.send(batch).is_ok()
                     }
                     Err(crossbeam::channel::TrySendError::Disconnected(_)) => false,
@@ -725,52 +665,66 @@ where
 /// coarsener ([`StreamingCoarsener`]), live frame→alert latency
 /// accounting and the continuously-updating [`OpsConsole`].
 ///
-/// **Determinism:** every data output is computed from simulated
-/// timestamps in a fixed per-node order, so the run is bit-identical
-/// to [`run_telemetry`] at the same seed — windows, ingest stats,
-/// injected-fault counts and the p50/p99 alert-latency gauges all
-/// match to the bit (asserted in tests). Under a virtual-clock trace
-/// the producer records no trace events (worker installation is
-/// declined), keeping traces byte-stable; under a wall clock the
-/// producer joins the trace and wall-rate counters appear.
+/// **Determinism:** this is the threaded driver of the pipeline that
+/// [`run_telemetry`] drives inline, so windows, ingest stats,
+/// injected-fault counts and the p50/p99 alert-latency gauges match
+/// [`run_telemetry`] to the bit at the same seed. Under a virtual-clock
+/// trace the producer records no trace events, keeping traces
+/// byte-stable; under a wall clock it joins the trace.
 ///
 /// **Bounded memory:** resident state is the reorder heaps (bounded by
 /// the fabric's maximum delay), one held frame per node, the
-/// coarsener's in-horizon pending buffers and at most
-/// `channel_capacity` tick batches — independent of `duration_s`.
+/// coarsener's in-horizon pending buffers and at most 8 tick batches in
+/// the channel — independent of `duration_s`.
 pub fn run_streaming(config: StreamConfig) -> StreamingRun {
+    run_pipeline(config, Driver::Threaded, || {
+        summit_obs::span("summit_core_run_streaming")
+    })
+}
+
+/// The one telemetry pipeline: engine → [`NodeDelivery`] →
+/// [`StreamingCoarsener`] → frame→alert latency → [`OpsConsole`]. The
+/// producer steps the engine in batches of [`TICKS_PER_BATCH`] ticks;
+/// the consumer runs each batch through the per-node stages; the finish
+/// block drains the fabric and closes the remaining windows. `driver`
+/// decides only where the producer runs; `open_span` opens the entry
+/// point's own span once the run's private registry is installed.
+fn run_pipeline(
+    config: StreamConfig,
+    driver: Driver,
+    open_span: impl FnOnce() -> summit_obs::SpanGuard,
+) -> StreamingRun {
+    let entry = match driver {
+        Driver::Inline => "run_telemetry",
+        Driver::Threaded => "run_streaming",
+    };
     let parent = summit_obs::current();
     let registry = summit_obs::registry::Registry::new();
-    let (mut run, stalls, wall_s) = {
+    let (mut run, wall_s) = {
         let _scope = registry.install();
-        let run_span = summit_obs::span("summit_core_run_streaming");
+        let run_span = open_span();
 
         let mut engine_config = EngineConfig::small(config.cabinets);
-        engine_config.cabinet_outages = config.cabinet_outages.clone();
-        let dt = engine_config.dt_s;
-        let n_ticks = (config.duration_s / dt).ceil() as usize;
-        let ticks_per_batch = config.ticks_per_batch.max(1);
-
+        engine_config.cabinet_outages = config.cabinet_outages;
+        let n_ticks = (config.duration_s / engine_config.dt_s).ceil() as usize;
         let fault_cfg = config.faults.unwrap_or_default();
-        let horizon_s = summit_telemetry::ingest::IngestPolicy::default().lateness_horizon_s;
 
         let mut deliveries: Vec<NodeDelivery> = Vec::new();
-        let mut trackers: Vec<AlertLatencyTracker> = Vec::new();
-        let mut node_stats: Vec<IngestStats> = Vec::new();
+        let mut nodes: Vec<NodeIngest> = Vec::new();
         let mut coarsener = StreamingCoarsener::new(0, PAPER_WINDOW_S);
-        let mut console = OpsConsole::with_defaults();
-        let mut windows_by_node: Vec<Vec<NodeWindow>> = Vec::new();
+        let mut out = LiveOutput {
+            console: OpsConsole::with_defaults(),
+            windows_by_node: Vec::new(),
+            live_windows: 0,
+        };
         let mut scratch: Vec<NodeFrame> = Vec::new();
-        let histogram = summit_obs::histogram("summit_core_frame_to_alert_latency_seconds");
         let mut offered = 0u64;
-        let mut live_windows = 0u64;
         let mut peak_resident = 0usize;
         let mut peak_depth = 0usize;
 
-        let jobs = stream_batches(
-            config.channel_capacity,
+        let jobs = driver.run(
+            CHANNEL_CAPACITY,
             move |send: &dyn Fn(Vec<(TickOutput, FrameBatch)>) -> bool| {
-                let _gen = summit_obs::span("summit_core_frame_generation");
                 let opts = StepOptions {
                     frames: true,
                     ..StepOptions::default()
@@ -779,7 +733,7 @@ pub fn run_streaming(config: StreamConfig) -> StreamingRun {
                 let node_count = engine.topology().node_count();
                 let mut sent = 0usize;
                 while sent < n_ticks {
-                    let n = ticks_per_batch.min(n_ticks - sent);
+                    let n = TICKS_PER_BATCH.min(n_ticks - sent);
                     let mut batch = Vec::with_capacity(n);
                     for _ in 0..n {
                         let _tick_obs = summit_obs::span("summit_core_engine_tick");
@@ -803,50 +757,24 @@ pub fn run_streaming(config: StreamConfig) -> StreamingRun {
                 // but the producer may already have refilled its slot
                 // by the time `depth` was read; the channel itself
                 // never holds more than its capacity, so clamp.
-                peak_depth = peak_depth.max((depth + 1).min(config.channel_capacity.max(1)));
+                peak_depth = peak_depth.max((depth + 1).min(CHANNEL_CAPACITY));
                 summit_obs::gauge("summit_core_stream_channel_depth").set(depth as f64);
                 let _obs = summit_obs::span("summit_core_stream_consume");
                 for (tick, frames) in batch {
-                    console.observe(&tick);
+                    out.console.observe(&tick);
+                    offered += frames.len() as u64;
                     for row in 0..frames.len() {
                         let f = frames.read_frame(row);
-                        offered += 1;
                         let idx = f.node.index();
                         if deliveries.len() <= idx {
                             deliveries.resize_with(idx + 1, || NodeDelivery::new(fault_cfg));
-                            trackers.resize_with(idx + 1, || {
-                                AlertLatencyTracker::new(PAPER_WINDOW_S, horizon_s)
-                            });
-                            node_stats.resize_with(idx + 1, IngestStats::default);
+                            nodes.resize_with(idx + 1, NodeIngest::default);
                         }
-                        scratch.clear();
                         deliveries[idx].offer(f, &mut scratch);
-                        for df in scratch.drain(..) {
-                            let before = trackers[idx].closed().len();
-                            trackers[idx].observe(&df);
-                            for &lat in &trackers[idx].closed()[before..] {
-                                histogram.observe(lat);
-                            }
-                            node_stats[idx].observe(&df);
-                            if coarsener.push(idx, &df).is_err() {
-                                summit_obs::counter("summit_core_stream_frames_rejected_total")
-                                    .inc();
-                            }
-                        }
+                        nodes[idx].ingest(idx, &mut scratch, &mut coarsener);
                     }
                 }
-                let closed = coarsener.drain_completed();
-                if !closed.is_empty() {
-                    live_windows += closed.len() as u64;
-                    console.observe_windows(&closed);
-                    for w in closed {
-                        let idx = w.node.index();
-                        if windows_by_node.len() <= idx {
-                            windows_by_node.resize_with(idx + 1, Vec::new);
-                        }
-                        windows_by_node[idx].push(w);
-                    }
-                }
+                out.publish(coarsener.drain_completed());
                 let resident = coarsener.resident_frames()
                     + deliveries.iter().map(NodeDelivery::resident).sum::<usize>();
                 peak_resident = peak_resident.max(resident);
@@ -857,82 +785,50 @@ pub fn run_streaming(config: StreamConfig) -> StreamingRun {
         summit_obs::counter("summit_core_frames_offered_total").inc_by(offered);
 
         // Tail: drain the reorder heaps and swap holds, then close the
-        // remaining windows — per node, in node-index order, exactly
-        // the batch association.
+        // remaining windows — per node, in node-index order, the
+        // canonical association of the float stats.
         let mut injected = InjectedFaults::default();
         let mut stats = IngestStats::default();
         let mut latencies: Vec<f64> = Vec::new();
         {
             let _obs = summit_obs::span("summit_core_stream_finish");
-            let trackers_tail = trackers;
-            for (idx, (delivery, (mut tracker, nstats))) in deliveries
-                .into_iter()
-                .zip(trackers_tail.into_iter().zip(node_stats))
-                .enumerate()
-            {
-                let mut nstats = nstats;
-                scratch.clear();
-                let counts = delivery.finish(&mut scratch);
-                injected.merge(&counts);
-                for df in scratch.drain(..) {
-                    let before = tracker.closed().len();
-                    tracker.observe(&df);
-                    for &lat in &tracker.closed()[before..] {
-                        histogram.observe(lat);
-                    }
-                    nstats.observe(&df);
-                    if coarsener.push(idx, &df).is_err() {
-                        summit_obs::counter("summit_core_stream_frames_rejected_total").inc();
-                    }
-                }
-                let before = tracker.closed().len();
-                let node_latencies = tracker.finish();
-                for &lat in &node_latencies[before..] {
-                    histogram.observe(lat);
-                }
-                latencies.extend(node_latencies);
-                stats.merge(&nstats);
+            for (idx, (delivery, mut node)) in deliveries.into_iter().zip(nodes).enumerate() {
+                injected.merge(&delivery.finish(&mut scratch));
+                node.ingest(idx, &mut scratch, &mut coarsener);
+                node.latency.finish();
+                latencies.append(&mut node.latency.closed);
+                stats.merge(&node.stats);
             }
             let (tail_windows, health) = coarsener.finish_with_health();
-            for (idx, ws) in tail_windows.into_iter().enumerate() {
-                if ws.is_empty() {
-                    continue;
-                }
-                live_windows += ws.len() as u64;
-                console.observe_windows(&ws);
-                if windows_by_node.len() <= idx {
-                    windows_by_node.resize_with(idx + 1, Vec::new);
-                }
-                windows_by_node[idx].extend(ws);
-            }
-            console.finish_windows();
+            tail_windows.into_iter().for_each(|ws| out.publish(ws));
+            out.console.finish_windows();
             stats.health = health;
         }
         stats.publish_obs();
-        let windows: usize = windows_by_node.iter().map(Vec::len).sum();
+        let windows: usize = out.windows_by_node.iter().map(Vec::len).sum();
         summit_obs::counter("summit_telemetry_windows_total").inc_by(windows as u64);
         summit_obs::counter("summit_telemetry_frames_accepted_total").inc_by(stats.health.accepted);
         summit_obs::counter("summit_telemetry_frames_dropped_total").inc_by(stats.health.dropped());
-        console.observe_ingest(&stats);
+        out.console.observe_ingest(&stats);
 
         {
-            // Live SLO gauges from the actual streaming path: the
-            // latency multiset equals the batch one, so the sorted
-            // percentiles agree to the bit.
+            // SLO-style frame→alert latency: a histogram, p50/p99
+            // gauges and (when a trace is live) counter tracks.
             let _obs = summit_obs::span("summit_core_alert_latency");
             latencies.sort_by(f64::total_cmp);
+            let histogram = summit_obs::histogram("summit_core_frame_to_alert_latency_seconds");
+            for &v in &latencies {
+                histogram.observe(v);
+            }
             let pct = |q: f64| {
-                if latencies.is_empty() {
-                    f64::NAN
-                } else {
-                    let idx = ((latencies.len() - 1) as f64 * q).round() as usize;
-                    latencies.get(idx).copied().unwrap_or(f64::NAN)
-                }
+                let idx = (latencies.len().saturating_sub(1) as f64 * q).round() as usize;
+                latencies.get(idx).copied().unwrap_or(f64::NAN)
             };
             let (p50, p99) = (pct(0.50), pct(0.99));
             summit_obs::gauge("summit_core_frame_to_alert_p50_seconds").set(p50);
             summit_obs::gauge("summit_core_frame_to_alert_p99_seconds").set(p99);
             if let Some(tc) = summit_obs::trace::current() {
+                // Simulated-time values: deterministic under any clock.
                 tc.counter("summit_core_frame_to_alert_p50_seconds", p50);
                 tc.counter("summit_core_frame_to_alert_p99_seconds", p99);
                 tc.counter(
@@ -948,39 +844,36 @@ pub fn run_streaming(config: StreamConfig) -> StreamingRun {
         if wall_s > 0.0 {
             summit_obs::gauge("summit_core_frames_per_wall_second").set(offered as f64 / wall_s);
             summit_obs::gauge("summit_core_windows_per_wall_second").set(windows as f64 / wall_s);
-            if let Some(tc) = summit_obs::trace::current() {
-                if tc.clock() == summit_obs::trace::TraceClock::Wall {
-                    tc.counter(
-                        "summit_core_frames_per_wall_second",
-                        offered as f64 / wall_s,
-                    );
-                }
+            // Wall-derived rate: only meaningful (and only allowed —
+            // byte-identity would break) under the wall clock.
+            let wall_trace = summit_obs::trace::current()
+                .filter(|tc| tc.clock() == summit_obs::trace::TraceClock::Wall);
+            if let Some(tc) = wall_trace {
+                tc.counter(
+                    "summit_core_frames_per_wall_second",
+                    offered as f64 / wall_s,
+                );
             }
         }
-        let stalls = registry
-            .snapshot()
-            .counter("summit_core_stream_backpressure_stalls_total")
-            .unwrap_or(0);
         let run = StreamingRun {
-            windows_by_node,
+            windows_by_node: out.windows_by_node,
             stats,
             injected,
-            alerts: console.drain_alerts(),
-            live_windows,
+            alerts: out.console.drain_alerts(),
+            live_windows: out.live_windows,
             peak_resident_frames: peak_resident,
             peak_channel_depth: peak_depth,
-            backpressure_stalls: stalls,
+            backpressure_stalls: summit_obs::counter(STALLS_COUNTER).get(),
             obs: summit_obs::Snapshot::default(),
             summary: String::new(),
         };
-        (run, stalls, wall_s)
+        (run, wall_s)
     };
     let obs = registry.snapshot();
     parent.absorb(&obs);
-    let summary = streaming_summary(&obs, stalls, wall_s);
-    println!("{summary}");
+    run.summary = run_summary(entry, &obs, wall_s);
+    println!("{}", run.summary);
     run.obs = obs;
-    run.summary = summary;
     run
 }
 
@@ -1105,7 +998,13 @@ mod tests {
                 f
             })
             .collect();
-        let lat = frame_to_alert_latencies(&[frames], 10.0, 5.0);
+        // The paper's 10 s windows and the default 5 s horizon.
+        let mut tracker = AlertLatencyTracker::default();
+        for f in &frames {
+            tracker.observe(f);
+        }
+        tracker.finish();
+        let lat = tracker.closed;
         // Windows [0,10), [10,20), [20,30) close when the watermark
         // clears start + window + horizon: at t_sample = start + 15,
         // ingested one second later => latency = 16 s each. The last
@@ -1194,6 +1093,11 @@ mod tests {
                 "{counter}"
             );
         }
+        // Every rejected push is one counted drop, in both runs.
+        for (obs, stats) in [(&stream.obs, &stream.stats), (&batch.obs, &batch.stats)] {
+            let rejected = obs.counter(REJECTED_COUNTER).unwrap_or(0);
+            assert_eq!(rejected, stats.health.dropped(), "rejected pushes");
+        }
     }
 
     #[test]
@@ -1232,6 +1136,65 @@ mod tests {
         assert_stream_matches_batch(2, 120.0, Some(faults));
     }
 
+    /// Inputs a caller can set, drawn at random: floor size, run length
+    /// (often ending on a partial tick batch), fault profile and seed,
+    /// and cabinet-outage schedule. The inline and threaded drivers must
+    /// agree on every data output, floats to the bit.
+    #[test]
+    fn inline_and_threaded_drivers_agree_on_random_inputs() {
+        use rand::Rng;
+        use summit_telemetry::ids::CabinetId;
+        let mut rng = StdRng::seed_from_u64(0x1D_1E);
+        for case in 0..8 {
+            let cabinets = rng.gen_range(1..=2usize);
+            let duration_s = f64::from(rng.gen_range(61..=240u32));
+            let faults = FaultConfig {
+                drop_p: rng.gen_range(0.0..0.1),
+                duplicate_p: rng.gen_range(0.0..0.1),
+                delay_p: rng.gen_range(0.0..0.15),
+                reorder_p: rng.gen_range(0.0..0.1),
+                max_extra_delay_s: rng.gen_range(1.0..20.0),
+                seed: rng.gen(),
+            };
+            let mut config = StreamConfig::new(cabinets, duration_s, Some(faults));
+            for _ in 0..rng.gen_range(0..=3usize) {
+                let start_s = rng.gen_range(0.0..duration_s);
+                config.cabinet_outages.push(CabinetOutage {
+                    cabinet: CabinetId(rng.gen_range(0..cabinets as u16)),
+                    start_s,
+                    end_s: start_s + rng.gen_range(1.0..120.0),
+                });
+            }
+            let span = || summit_obs::span("summit_core_driver_property");
+            let inline = run_pipeline(config.clone(), Driver::Inline, span);
+            let threaded = run_pipeline(config, Driver::Threaded, span);
+            assert_windows_bitwise_eq(&inline.windows_by_node, &threaded.windows_by_node);
+            assert_eq!(inline.injected, threaded.injected, "case {case}");
+            let (a, b) = (&inline.stats, &threaded.stats);
+            assert_eq!((a.frames, a.metrics), (b.frames, b.metrics), "case {case}");
+            assert_eq!(a.health, b.health, "case {case}");
+            for (x, y) in [
+                (a.total_delay_s, b.total_delay_s),
+                (a.max_delay_s, b.max_delay_s),
+                (a.t_first, b.t_first),
+                (a.t_last, b.t_last),
+            ] {
+                assert_eq!(x.to_bits(), y.to_bits(), "case {case}: stats");
+            }
+            for gauge in [
+                "summit_core_frame_to_alert_p50_seconds",
+                "summit_core_frame_to_alert_p99_seconds",
+            ] {
+                let (x, y) = (inline.obs.gauge(gauge), threaded.obs.gauge(gauge));
+                assert_eq!(
+                    x.map(f64::to_bits),
+                    y.map(f64::to_bits),
+                    "case {case}: {gauge}"
+                );
+            }
+        }
+    }
+
     #[test]
     fn streaming_memory_is_bounded_by_horizon_not_run_length() {
         let short = run_streaming(StreamConfig::new(1, 120.0, None));
@@ -1245,8 +1208,7 @@ mod tests {
             short.peak_resident_frames,
             long.peak_resident_frames
         );
-        let cfg = StreamConfig::new(1, 480.0, None);
-        assert!(long.peak_channel_depth <= cfg.channel_capacity);
+        assert!(long.peak_channel_depth <= CHANNEL_CAPACITY);
         // The live console saw every closed window.
         let total: usize = long.windows_by_node.iter().map(Vec::len).sum();
         assert_eq!(long.live_windows, total as u64);

@@ -11,8 +11,8 @@
 //!
 //! Spans nest: a thread-local stack tracks the active span names so
 //! tests (and debugging) can assert the instrumentation structure, e.g.
-//! `["summit_core_run_telemetry", "summit_telemetry_coarsen"]` while
-//! coarsening runs inside the telemetry path.
+//! `["summit_core_run_telemetry", "summit_core_stream_consume"]` while
+//! the consumer stage runs inside the telemetry path.
 
 use crate::registry::{Counter, Histogram};
 use std::cell::RefCell;

@@ -1,15 +1,19 @@
-//! Incremental per-node delivery through the faulty fabric.
+//! The simulated fault fabric between the BMCs and the point of
+//! analysis, one node at a time.
 //!
-//! [`FaultInjector::deliver`](crate::stream::FaultInjector::deliver)
-//! takes a node's *complete* frame batch, applies fate draws, sorts the
-//! survivors into arrival order with a stable sort and runs an adjacent
-//! swap pass. The streaming pipeline cannot wait for the complete
-//! batch, so [`NodeDelivery`] reproduces that exact output one source
-//! frame at a time:
+//! [`NodeDelivery`] stamps each source frame's arrival time from the
+//! propagation-delay model, applies its drop / duplicate / extra-delay
+//! fate and releases the survivors in arrival order, with local reorder
+//! swaps on top. Its output is defined by the whole-batch fabric: stamp
+//! and fate every frame of the node, stable-sort the arrivals by ingest
+//! time, then run one adjacent swap pass. The tests keep that batch
+//! fabric as the oracle; [`NodeDelivery`] reproduces its output one
+//! source frame at a time, so resident state stays bounded however long
+//! the stream runs:
 //!
 //! 1. **Fate** — each frame's drop/duplicate/delay draw is the pure
 //!    order-independent hash [`FaultConfig::fate`], so the incremental
-//!    path classifies every frame exactly as the batch path does.
+//!    path classifies every frame exactly as the batch oracle does.
 //! 2. **Reorder release** — arrivals wait in a min-heap keyed by
 //!    `(t_ingest, insertion sequence)`. Insertion order matches the
 //!    batch push order (a duplicate's +0.25 s copy is inserted before
@@ -26,8 +30,8 @@
 //!    held frame; one that doesn't replaces it.
 //!
 //! The result: delivered frame sequence, injected-fault counts, and
-//! every downstream statistic are bit-identical to the batch injector
-//! run over the same per-node sequence.
+//! every downstream statistic are bit-identical to the batch oracle run
+//! over the same per-node sequence.
 
 use crate::records::NodeFrame;
 use crate::stream::{propagation_delay_s, FaultConfig, FrameFate, InjectedFaults};
@@ -67,11 +71,9 @@ impl Ord for Arrival {
     }
 }
 
-/// Incremental replacement for one node's
-/// [`FaultInjector::deliver`](crate::stream::FaultInjector::deliver)
-/// call: offer source frames in sample order, collect delivered frames
-/// as they become safe to release. See the module docs for the
-/// equivalence argument.
+/// One node's fabric: offer source frames in sample order, collect
+/// delivered frames as they become safe to release. See the module
+/// docs for the equivalence argument with the batch oracle.
 #[derive(Debug)]
 pub struct NodeDelivery {
     cfg: FaultConfig,
@@ -188,12 +190,148 @@ mod tests {
     #![allow(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
     use super::*;
     use crate::ids::NodeId;
-    use crate::stream::FaultInjector;
+
+    /// The whole-batch fabric, the oracle [`NodeDelivery`] must match.
+    struct FaultInjector {
+        config: FaultConfig,
+        counts: InjectedFaults,
+    }
+
+    impl FaultInjector {
+        fn new(config: FaultConfig) -> Self {
+            Self {
+                config,
+                counts: InjectedFaults::default(),
+            }
+        }
+
+        fn injected(&self) -> InjectedFaults {
+            self.counts
+        }
+
+        /// Delivers one node's complete frame batch: stamps arrival
+        /// times, applies drop / duplicate / extra-delay fates, returns
+        /// the survivors stable-sorted into arrival order with the
+        /// adjacent reorder swaps applied on top.
+        fn deliver(&mut self, frames: Vec<NodeFrame>) -> Vec<NodeFrame> {
+            let cfg = self.config;
+            let mut arrivals: Vec<(f64, NodeFrame)> = Vec::with_capacity(frames.len());
+            for mut frame in frames {
+                let node = frame.node.0;
+                let t = frame.t_sample;
+                frame.t_ingest = t + propagation_delay_s(node, t);
+                match cfg.fate(node, t) {
+                    FrameFate::Drop => {
+                        self.counts.dropped += 1;
+                        continue;
+                    }
+                    FrameFate::Duplicate => {
+                        self.counts.duplicated += 1;
+                        // The copy trails the original by a fraction of a second.
+                        arrivals.push((frame.t_ingest + 0.25, frame.clone()));
+                        arrivals.push((frame.t_ingest, frame));
+                        continue;
+                    }
+                    FrameFate::Delay { extra_s } => {
+                        self.counts.delayed += 1;
+                        frame.t_ingest += extra_s;
+                        arrivals.push((frame.t_ingest, frame));
+                    }
+                    FrameFate::Deliver => arrivals.push((frame.t_ingest, frame)),
+                }
+            }
+            arrivals.sort_by(|a, b| a.0.total_cmp(&b.0));
+            let mut out: Vec<NodeFrame> = arrivals.into_iter().map(|(_, f)| f).collect();
+            for i in 1..out.len() {
+                if cfg.draws_reorder(out[i].node.0, out[i].t_sample) {
+                    out.swap(i - 1, i);
+                    self.counts.reordered += 1;
+                }
+            }
+            out
+        }
+    }
 
     fn batch(node: u32, n: usize) -> Vec<NodeFrame> {
         (0..n)
             .map(|t| NodeFrame::empty(NodeId(node), t as f64))
             .collect()
+    }
+
+    #[test]
+    fn injector_is_deterministic_and_accounts_exactly() {
+        let cfg = FaultConfig {
+            drop_p: 0.1,
+            duplicate_p: 0.1,
+            delay_p: 0.1,
+            reorder_p: 0.05,
+            ..FaultConfig::default()
+        };
+        let mut a = FaultInjector::new(cfg);
+        let mut b = FaultInjector::new(cfg);
+        let da = a.deliver(batch(3, 500));
+        let db = b.deliver(batch(3, 500));
+        assert_eq!(da.len(), db.len(), "same seed, same delivery");
+        assert!(da
+            .iter()
+            .zip(&db)
+            .all(|(x, y)| x.t_sample == y.t_sample && x.t_ingest == y.t_ingest));
+        let f = a.injected();
+        assert_eq!(
+            da.len() as u64,
+            500 - f.dropped + f.duplicated,
+            "every frame accounted: survivors = offered - dropped + duplicated"
+        );
+        assert!(f.dropped > 0 && f.duplicated > 0 && f.delayed > 0);
+    }
+
+    #[test]
+    fn clean_injector_preserves_arrival_order_only() {
+        let mut inj = FaultInjector::new(FaultConfig::default());
+        let delivered = inj.deliver(batch(0, 100));
+        assert_eq!(delivered.len(), 100);
+        assert_eq!(inj.injected(), InjectedFaults::default());
+        assert!(delivered.windows(2).all(|w| w[0].t_ingest <= w[1].t_ingest));
+        // Propagation delay alone already reorders some sample times.
+        assert!(delivered.windows(2).any(|w| w[0].t_sample > w[1].t_sample));
+    }
+
+    #[test]
+    fn fate_draws_match_batch_delivery_accounting() {
+        // Summing pure per-frame fates reproduces the injector's
+        // mutable accounting exactly.
+        let cfg = FaultConfig {
+            drop_p: 0.1,
+            duplicate_p: 0.1,
+            delay_p: 0.15,
+            reorder_p: 0.0,
+            ..FaultConfig::default()
+        };
+        let frames = batch(9, 800);
+        let mut expect = InjectedFaults::default();
+        for f in &frames {
+            match cfg.fate(f.node.0, f.t_sample) {
+                FrameFate::Drop => expect.dropped += 1,
+                FrameFate::Duplicate => expect.duplicated += 1,
+                FrameFate::Delay { .. } => expect.delayed += 1,
+                FrameFate::Deliver => {}
+            }
+        }
+        let mut inj = FaultInjector::new(cfg);
+        inj.deliver(frames);
+        assert_eq!(inj.injected(), expect);
+    }
+
+    #[test]
+    fn different_seeds_inject_differently() {
+        let mut a = FaultInjector::new(FaultConfig::light(1));
+        let mut b = FaultInjector::new(FaultConfig::light(2));
+        a.deliver(batch(0, 1000));
+        b.deliver(batch(0, 1000));
+        assert_ne!(a.injected(), b.injected());
+        let mut merged = a.injected();
+        merged.merge(&b.injected());
+        assert_eq!(merged.total(), a.injected().total() + b.injected().total());
     }
 
     fn run_streaming(cfg: FaultConfig, frames: Vec<NodeFrame>) -> (Vec<NodeFrame>, InjectedFaults) {

@@ -17,6 +17,10 @@
 //!     --> [window::WindowAggregator] (10 s coarsening)
 //!     --> [cluster] / [jobjoin] collapses --> analysis datasets
 //! ```
+//!
+//! The live ODA path (`summit-core`'s one staged pipeline) runs the
+//! same frames through the per-node fault fabric
+//! [`delivery::NodeDelivery`] into [`window::StreamingCoarsener`].
 
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
@@ -52,7 +56,7 @@ pub mod prelude {
         CepRecord, JobRecord, NodeAllocation, NodeFrame, ScienceDomain, XidErrorKind, XidEvent,
     };
     pub use crate::store::TelemetryStore;
-    pub use crate::stream::{FaultConfig, FaultInjector, FrameFate, IngestStats, InjectedFaults};
+    pub use crate::stream::{FaultConfig, FrameFate, IngestStats, InjectedFaults};
     pub use crate::window::{
         CoarsenLayout, NodeWindow, StreamingCoarsener, WindowAggregator, PAPER_WINDOW_S,
     };

@@ -110,8 +110,8 @@ impl IngestStats {
     /// Folds another accumulator into this one. Counters and extremes
     /// are order-independent; the float delay sum is associated as
     /// `(…(node₀ + node₁) + …)`, so any two consumers that accumulate
-    /// per node and merge in node-index order — the batch replay and
-    /// the streaming consumer both do — agree to the bit. Health
+    /// per node and merge in node-index order — the telemetry pipeline
+    /// does, under either driver — agree to the bit. Health
     /// counters merge unconditionally; the frame-derived fields only
     /// when the other side actually saw frames.
     pub fn merge(&mut self, other: &IngestStats) {
@@ -226,10 +226,10 @@ impl FaultConfig {
     }
 
     /// Deterministic per-frame fate: a pure hash of `(seed, node,
-    /// t_sample)`, independent of arrival and processing order, so the
-    /// batch and streaming delivery paths classify every frame
-    /// identically. A duplicate's copy shares the original's sample
-    /// timestamp and therefore its fate draws.
+    /// t_sample)`, independent of arrival and processing order, so an
+    /// incremental fabric classifies every frame exactly as one that
+    /// sees the node's whole batch. A duplicate's copy shares the
+    /// original's sample timestamp and therefore its fate draws.
     pub fn fate(&self, node: u32, t_sample: f64) -> FrameFate {
         let u = self.draw(node, t_sample, 1);
         if u < self.drop_p {
@@ -248,7 +248,7 @@ impl FaultConfig {
 
     /// Whether a delivered frame draws an adjacent arrival-order swap
     /// with its predecessor. Same hash family as [`FaultConfig::fate`]
-    /// (salt 3), so both delivery paths agree per frame.
+    /// (salt 3): a pure per-frame draw like the fate.
     pub fn draws_reorder(&self, node: u32, t_sample: f64) -> bool {
         self.draw(node, t_sample, 3) < self.reorder_p
     }
@@ -271,7 +271,8 @@ pub enum FrameFate {
     },
 }
 
-/// Exact counts of the faults a [`FaultInjector`] introduced.
+/// Exact counts of the faults the fabric
+/// ([`NodeDelivery`](crate::delivery::NodeDelivery)) introduced.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub struct InjectedFaults {
     /// Frames dropped in flight.
@@ -296,81 +297,6 @@ impl InjectedFaults {
         self.duplicated += other.duplicated;
         self.delayed += other.delayed;
         self.reordered += other.reordered;
-    }
-}
-
-/// Injects delivery faults into per-node frame batches, modelling the
-/// lossy fabric between the BMCs and the point of analysis.
-#[derive(Debug)]
-pub struct FaultInjector {
-    config: FaultConfig,
-    counts: InjectedFaults,
-}
-
-impl FaultInjector {
-    /// Creates an injector for the given fault profile.
-    pub fn new(config: FaultConfig) -> Self {
-        Self {
-            config,
-            counts: InjectedFaults::default(),
-        }
-    }
-
-    /// The active fault profile.
-    pub fn config(&self) -> &FaultConfig {
-        &self.config
-    }
-
-    /// Counts of every fault injected so far.
-    pub fn injected(&self) -> InjectedFaults {
-        self.counts
-    }
-
-    /// Delivers one node's frame batch through the faulty fabric:
-    /// stamps arrival times from the propagation-delay model, applies
-    /// drop / duplicate / extra-delay faults, and returns the surviving
-    /// frames in *arrival* order (the order the fan-in hands downstream),
-    /// with any local reorder swaps applied on top. Every decision is a
-    /// pure [`FaultConfig::fate`] / [`FaultConfig::draws_reorder`] draw,
-    /// the same hashes the incremental streaming stage consults.
-    pub fn deliver(&mut self, frames: Vec<NodeFrame>) -> Vec<NodeFrame> {
-        let _obs = summit_obs::span("summit_telemetry_deliver");
-        summit_obs::histogram("summit_telemetry_deliver_batch_frames").observe(frames.len() as f64);
-        let cfg = self.config;
-        let mut arrivals: Vec<(f64, NodeFrame)> = Vec::with_capacity(frames.len());
-        for mut frame in frames {
-            let node = frame.node.0;
-            let t = frame.t_sample;
-            frame.t_ingest = t + propagation_delay_s(node, t);
-            match cfg.fate(node, t) {
-                FrameFate::Drop => {
-                    self.counts.dropped += 1;
-                    continue;
-                }
-                FrameFate::Duplicate => {
-                    self.counts.duplicated += 1;
-                    // The copy trails the original by a fraction of a second.
-                    arrivals.push((frame.t_ingest + 0.25, frame.clone()));
-                    arrivals.push((frame.t_ingest, frame));
-                    continue;
-                }
-                FrameFate::Delay { extra_s } => {
-                    self.counts.delayed += 1;
-                    frame.t_ingest += extra_s;
-                    arrivals.push((frame.t_ingest, frame));
-                }
-                FrameFate::Deliver => arrivals.push((frame.t_ingest, frame)),
-            }
-        }
-        arrivals.sort_by(|a, b| a.0.total_cmp(&b.0));
-        let mut out: Vec<NodeFrame> = arrivals.into_iter().map(|(_, f)| f).collect();
-        for i in 1..out.len() {
-            if cfg.draws_reorder(out[i].node.0, out[i].t_sample) {
-                out.swap(i - 1, i);
-                self.counts.reordered += 1;
-            }
-        }
-        out
     }
 }
 
@@ -551,54 +477,10 @@ mod tests {
         assert_eq!(stats.frames, 1);
     }
 
-    fn batch(node: u32, n: usize) -> Vec<NodeFrame> {
-        (0..n)
-            .map(|t| NodeFrame::empty(NodeId(node), t as f64))
-            .collect()
-    }
-
-    #[test]
-    fn injector_is_deterministic_and_accounts_exactly() {
-        let cfg = FaultConfig {
-            drop_p: 0.1,
-            duplicate_p: 0.1,
-            delay_p: 0.1,
-            reorder_p: 0.05,
-            ..FaultConfig::default()
-        };
-        let mut a = FaultInjector::new(cfg);
-        let mut b = FaultInjector::new(cfg);
-        let da = a.deliver(batch(3, 500));
-        let db = b.deliver(batch(3, 500));
-        assert_eq!(da.len(), db.len(), "same seed, same delivery");
-        assert!(da
-            .iter()
-            .zip(&db)
-            .all(|(x, y)| x.t_sample == y.t_sample && x.t_ingest == y.t_ingest));
-        let f = a.injected();
-        assert_eq!(
-            da.len() as u64,
-            500 - f.dropped + f.duplicated,
-            "every frame accounted: survivors = offered - dropped + duplicated"
-        );
-        assert!(f.dropped > 0 && f.duplicated > 0 && f.delayed > 0);
-    }
-
-    #[test]
-    fn clean_injector_preserves_arrival_order_only() {
-        let mut inj = FaultInjector::new(FaultConfig::default());
-        let delivered = inj.deliver(batch(0, 100));
-        assert_eq!(delivered.len(), 100);
-        assert_eq!(inj.injected(), InjectedFaults::default());
-        assert!(delivered.windows(2).all(|w| w[0].t_ingest <= w[1].t_ingest));
-        // Propagation delay alone already reorders some sample times.
-        assert!(delivered.windows(2).any(|w| w[0].t_sample > w[1].t_sample));
-    }
-
     #[test]
     fn merged_stats_account_exactly_and_are_reproducible() {
         // Merging per-node accumulators in node order is the canonical
-        // association both the batch and streaming paths use: counters
+        // association the telemetry pipeline uses: counters
         // and extremes match a flat sequential replay exactly, the
         // (order-sensitive) delay sum matches it numerically, and two
         // per-node merges agree to the bit.
@@ -658,43 +540,5 @@ mod tests {
         assert_eq!(merged, stats);
         merged.merge(&IngestStats::default());
         assert_eq!(merged, stats);
-    }
-
-    #[test]
-    fn fate_draws_match_batch_delivery_accounting() {
-        // Summing pure per-frame fates reproduces the injector's
-        // mutable accounting exactly.
-        let cfg = FaultConfig {
-            drop_p: 0.1,
-            duplicate_p: 0.1,
-            delay_p: 0.15,
-            reorder_p: 0.0,
-            ..FaultConfig::default()
-        };
-        let frames = batch(9, 800);
-        let mut expect = InjectedFaults::default();
-        for f in &frames {
-            match cfg.fate(f.node.0, f.t_sample) {
-                FrameFate::Drop => expect.dropped += 1,
-                FrameFate::Duplicate => expect.duplicated += 1,
-                FrameFate::Delay { .. } => expect.delayed += 1,
-                FrameFate::Deliver => {}
-            }
-        }
-        let mut inj = FaultInjector::new(cfg);
-        inj.deliver(frames);
-        assert_eq!(inj.injected(), expect);
-    }
-
-    #[test]
-    fn different_seeds_inject_differently() {
-        let mut a = FaultInjector::new(FaultConfig::light(1));
-        let mut b = FaultInjector::new(FaultConfig::light(2));
-        a.deliver(batch(0, 1000));
-        b.deliver(batch(0, 1000));
-        assert_ne!(a.injected(), b.injected());
-        let mut merged = a.injected();
-        merged.merge(&b.injected());
-        assert_eq!(merged.total(), a.injected().total() + b.injected().total());
     }
 }

@@ -15,10 +15,11 @@ use summit_repro::core::pipeline::{run_detailed, run_streaming, StreamConfig};
 use summit_repro::sim::engine::{EngineConfig, StepOptions};
 use summit_repro::sim::failures::CabinetOutage;
 use summit_repro::telemetry::catalog;
+use summit_repro::telemetry::delivery::NodeDelivery;
 use summit_repro::telemetry::ids::{CabinetId, NodeId};
 use summit_repro::telemetry::ingest::IngestError;
 use summit_repro::telemetry::records::NodeFrame;
-use summit_repro::telemetry::stream::{FaultConfig, FaultInjector, IngestStats};
+use summit_repro::telemetry::stream::{FaultConfig, IngestStats, InjectedFaults};
 use summit_repro::telemetry::window::{
     coarsen_parallel_with_health, NodeWindow, WindowAggregator, PAPER_WINDOW_S,
 };
@@ -83,6 +84,18 @@ fn windows_bitwise_eq(a: &[NodeWindow], b: &[NodeWindow]) -> bool {
         })
 }
 
+/// Delivers one node's frames through the fault fabric; returns the
+/// delivered sequence and the faults injected.
+fn deliver(config: FaultConfig, frames: Vec<NodeFrame>) -> (Vec<NodeFrame>, InjectedFaults) {
+    let mut fabric = NodeDelivery::new(config);
+    let mut delivered = Vec::new();
+    for f in frames {
+        fabric.offer(f, &mut delivered);
+    }
+    let injected = fabric.finish(&mut delivered);
+    (delivered, injected)
+}
+
 fn coarsen(node: NodeId, frames: &[NodeFrame]) -> (Vec<NodeWindow>, u64) {
     let mut agg = WindowAggregator::paper(node);
     for f in frames {
@@ -119,9 +132,7 @@ fn faulty_stream_matches_clean_reference_exactly() {
     .into_iter()
     .enumerate()
     {
-        let mut injector = FaultInjector::new(config);
-        let delivered = injector.deliver(base.clone());
-        let injected = injector.injected();
+        let (delivered, injected) = deliver(config, base.clone());
 
         // Delivery conservation: every generated frame is delivered,
         // dropped, or delivered twice.
@@ -177,9 +188,8 @@ fn faulty_stream_matches_clean_reference_exactly() {
 fn clean_stream_is_untouched_by_zero_probability_injector() {
     let node = NodeId(3);
     let base = frames_for(node, 120);
-    let mut injector = FaultInjector::new(FaultConfig::default());
-    let delivered = injector.deliver(base.clone());
-    assert_eq!(injector.injected().total(), 0);
+    let (delivered, injected) = deliver(FaultConfig::default(), base.clone());
+    assert_eq!(injected.total(), 0);
     assert_eq!(delivered.len(), base.len());
     let (windows, accepted) = coarsen(node, &delivered);
     assert_eq!(accepted, 120);
@@ -191,9 +201,10 @@ fn clean_stream_is_untouched_by_zero_probability_injector() {
 
 /// The streaming pipeline under whole-cabinet outage bursts must match
 /// a batch reference built from the same public primitives: generate
-/// the tick stream once ([`run_detailed`]), inject the same fault
-/// profile per node, coarsen in parallel — windows, ingest statistics
-/// and injected-fault counts all agree to the bit.
+/// the tick stream once ([`run_detailed`]), deliver each node's frames
+/// through its own [`NodeDelivery`] fabric, coarsen in parallel —
+/// windows, ingest statistics and injected-fault counts all agree to
+/// the bit.
 #[test]
 fn streaming_with_cabinet_outage_bursts_matches_batch_reference() {
     let outages = vec![
@@ -211,7 +222,8 @@ fn streaming_with_cabinet_outage_bursts_matches_batch_reference() {
     let faults = FaultConfig::light(11);
     let duration_s = 240.0;
 
-    // Batch reference, mirroring run_telemetry's association exactly.
+    // Batch reference: per-node stats merged in node-index order, the
+    // pipeline's association.
     let mut config = EngineConfig::small(2);
     config.cabinet_outages = outages.clone();
     let dt = config.dt_s;
@@ -249,10 +261,14 @@ fn streaming_with_cabinet_outage_bursts_matches_batch_reference() {
         .filter(|f| !in_outage(f))
         .all(|f| !f.get(catalog::input_power()).is_nan()));
 
-    let mut injector = FaultInjector::new(faults);
+    let mut injected = InjectedFaults::default();
     let delivered: Vec<Vec<NodeFrame>> = frames_by_node
         .into_iter()
-        .map(|batch| injector.deliver(batch))
+        .map(|batch| {
+            let (delivered, counts) = deliver(faults, batch);
+            injected.merge(&counts);
+            delivered
+        })
         .collect();
     let mut ref_stats = IngestStats::default();
     for batch in &delivered {
@@ -271,7 +287,7 @@ fn streaming_with_cabinet_outage_bursts_matches_batch_reference() {
 
     // Exact fault accounting: injected counts and the coarsener's
     // health ledger agree with the reference integer for integer.
-    assert_eq!(run.injected, injector.injected());
+    assert_eq!(run.injected, injected);
     assert_eq!(run.stats.health, ref_health);
     assert_eq!(run.stats.frames, ref_stats.frames);
     assert_eq!(run.stats.metrics, ref_stats.metrics);

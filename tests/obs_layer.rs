@@ -30,9 +30,9 @@ fn same_seed_runs_record_identical_counters() {
     // The per-run snapshot covers every stage of this path.
     for stage in [
         "summit_core_run_telemetry_calls_total",
-        "summit_core_frame_generation_calls_total",
-        "summit_core_fault_injection_calls_total",
-        "summit_telemetry_coarsen_calls_total",
+        "summit_core_engine_tick_calls_total",
+        "summit_core_stream_consume_calls_total",
+        "summit_core_stream_finish_calls_total",
         "summit_core_frames_offered_total",
         "summit_telemetry_windows_total",
     ] {
@@ -61,19 +61,20 @@ fn fault_injection_shows_up_in_counters() {
     assert_ne!(clean.obs.counters, faulty.obs.counters);
 }
 
-/// Worker-thread span attribution: when the parallel coarsen stage
-/// dispatches to pool workers, their busy time must land in the
-/// stage-labelled histogram — not in the `unstaged` bucket a worker
-/// with no propagated span context would fall into.
+/// Worker-thread span attribution: when a pipeline stage — here the
+/// engine tick's parallel node update — dispatches to pool workers,
+/// their busy time must land in the stage-labelled histogram, not in
+/// the `unstaged` bucket a worker with no propagated span context would
+/// fall into.
 #[test]
 fn parallel_coarsen_attributes_busy_time_to_the_coarsen_stage() {
     let run = rayon::with_thread_count(2, || run_telemetry(2, 120.0, None));
 
-    let coarsen = run
+    let tick = run
         .obs
-        .histogram("summit_par_busy_telemetry_coarsen_seconds")
-        .expect("parallel coarsen must record stage-labelled busy time");
-    assert!(coarsen.count > 0);
+        .histogram("summit_par_busy_core_engine_tick_seconds")
+        .expect("parallel engine tick must record stage-labelled busy time");
+    assert!(tick.count > 0);
     assert!(
         run.obs
             .histogram("summit_par_busy_unstaged_seconds")
